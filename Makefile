@@ -61,11 +61,13 @@ metrics-lint:
 
 # score-diff re-runs the compiled-kernel differential suites under the
 # race detector: each learner's flat form against its pointer-walking
-# reference, plus the end-to-end Score/ScoreEvents/ScoreAll fuzz and the
-# stale-compile invalidation regression in internal/core.
+# reference (the fused Naive Bayes ensemble against every member model,
+# and its refusal of malformed tables), plus the end-to-end
+# Score/ScoreEvents/ScoreAll fuzz, the stale-compile invalidation
+# regression and the kernel-measured normal levels in internal/core.
 score-diff:
-	$(GO) test -race -run 'TestCompiledDifferential' -count 1 ./internal/ml/...
-	$(GO) test -race -run 'TestScoreKernelDifferential|TestCompileInvalidation' \
+	$(GO) test -race -run 'TestCompiledDifferential|TestEnsemble' -count 1 ./internal/ml/...
+	$(GO) test -race -run 'TestScoreKernelDifferential|TestCompileInvalidation|TestNormalLevelsMatchReference' \
 		-count 1 ./internal/core/
 
 # train-smoke re-runs the columnar-vs-naive differential tests and gives
@@ -113,12 +115,13 @@ bench-train:
 
 # bench-score measures only the inference paths on the same dataset: the
 # per-record pointer-walking reference (BenchmarkAnalyzerScore) against
-# the compiled batch path (BenchmarkScoreAll), plus each learner's
-# single-model predict kernels. Append the output to the dated BENCH file
+# the compiled batch path (BenchmarkScoreAll) and the compiled
+# one-record-per-call path single-record serving runs
+# (BenchmarkScoreEvents), plus each learner's predict kernels. Append the output to the dated BENCH file
 # when recording a before/after for a scoring-path change.
 bench-score:
 	$(GO) test -run '^$$' -timeout 30m \
-		-bench '^Benchmark(AnalyzerScore|ScoreAll|C45Predict|RipperPredict|NBPredict)$$' \
+		-bench '^Benchmark(AnalyzerScore|ScoreAll|ScoreEvents|C45Predict|RipperPredict|NBPredict)$$' \
 		-benchmem -count 3 .
 
 # bench-serve measures end-to-end serving throughput over real HTTP:

@@ -136,10 +136,67 @@ func BenchmarkRipperPredict(b *testing.B) {
 	})
 }
 
-// BenchmarkNBPredict compares nested log-prob table lookups with the
-// packed slab.
+// BenchmarkNBPredict compares, per record, every sub-model's posterior
+// from its nested log-prob tables against one pass of the fused
+// feature-major ensemble over all L sub-models.
 func BenchmarkNBPredict(b *testing.B) {
-	benchSingleModel(b, func(ds *ml.Dataset) (ml.Classifier, error) {
-		return nbayes.NewLearner().Fit(ds, benchTarget)
+	ds := trainBenchDS()
+	models := make([]*nbayes.Model, len(ds.Attrs))
+	maxCard := 0
+	for j, at := range ds.Attrs {
+		c, err := nbayes.NewLearner().Fit(ds, j)
+		if err != nil {
+			b.Fatal(err)
+		}
+		models[j] = c.(*nbayes.Model)
+		maxCard = max(maxCard, at.Card)
+	}
+	buf := make([]float64, maxCard)
+	b.Run("reference", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, x := range ds.X {
+				for _, m := range models {
+					m.PredictProbaInto(x, buf)
+				}
+			}
+		}
+		reportPerRecord(b, ds.Len())
 	})
+	b.Run("ensemble", func(b *testing.B) {
+		e := nbayes.CompileEnsemble(models)
+		acc := make([]float64, e.Width())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, x := range ds.X {
+				e.PredictProbaInto(x, acc)
+			}
+		}
+		reportPerRecord(b, ds.Len())
+	})
+}
+
+// BenchmarkScoreEvents scores the dataset one record per ScoreEvents call
+// through the compiled kernels: the shape single-record serving (POST
+// /v1/score) runs, with its per-call buffer allocation.
+func BenchmarkScoreEvents(b *testing.B) {
+	ds, an := scoreBench(b)
+	for _, name := range []string{"C45", "RIPPER", "NBC"} {
+		a := an[name]
+		a.Compile()
+		b.Run(name, func(b *testing.B) {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for r := range ds.X {
+					a.ScoreEvents(ds.X[r:r+1], core.Probability)
+				}
+			}
+			reportPerRecord(b, ds.Len())
+		})
+	}
+}
+
+// reportPerRecord adds a per-record cost to a benchmark whose every
+// iteration scores records rows.
+func reportPerRecord(b *testing.B, records int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/rec")
 }

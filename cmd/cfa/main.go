@@ -123,11 +123,11 @@ func train(args []string, w io.Writer) error {
 		Threshold:   th,
 		Scorer:      sc,
 	}
-	// Non-NBC bundles also carry a cheap naive-Bayes fallback trained on
-	// the same discretised data, with its own threshold calibrated at the
+	// Non-NBC bundles also carry a naive-Bayes fallback trained on the
+	// same discretised data, with its own threshold calibrated at the
 	// same false-alarm rate: `cfa serve` scores through it at brownout
-	// level 2 instead of shedding outright. An NBC primary is already the
-	// cheap kernel, so it carries none.
+	// level 2 instead of shedding outright. An NBC primary would be its
+	// own fallback, so it carries none.
 	if learner.Name() != "NBC" {
 		fb, err := core.Train(ds, nbayes.NewLearner(), core.TrainOptions{Parallelism: *parallel})
 		if err != nil {

@@ -20,7 +20,7 @@ type CompileStats struct {
 	TreeNodes int
 	// RuleConds is the total RIPPER condition-matrix size.
 	RuleConds int
-	// TableEntries is the total flattened Naive Bayes log-prob entries.
+	// TableEntries is the fused Naive Bayes ensemble's log-prob entries.
 	TableEntries int
 	// Duration is the wall time of the compile pass.
 	Duration time.Duration
@@ -33,8 +33,12 @@ type CompileStats struct {
 // its cached column view.
 type compiledSet struct {
 	kernels []ml.ScoreKernel // nil entries score via the reference model
-	src     []ml.Classifier  // the Models values the kernels came from
-	stats   CompileStats
+	// nb, when every non-nil sub-model is Naive Bayes, scores all of them
+	// in one fused pass per event (kernels is then all nil).
+	nb     *nbayes.Ensemble
+	src    []ml.Classifier // the Models values the kernels came from
+	bufLen int             // per-event scratch length: every class count, or nb's width
+	stats  CompileStats
 }
 
 // fresh reports whether the set still matches the analyzer's models.
@@ -52,10 +56,11 @@ func (c *compiledSet) fresh(models []ml.Classifier) bool {
 
 // Compile builds (or, after a model swap, rebuilds) the analyzer's flat
 // inference kernels: contiguous node arrays for C4.5 trees, condition
-// matrices for RIPPER rule sets and packed log-prob slabs for Naive
-// Bayes. Scoring uses the kernels automatically once built; calling
-// Compile up front just moves the one-time cost to load time (the serve
-// path does this on every bundle load so no request pays it). The
+// matrices for RIPPER rule sets and, for Naive Bayes, one fused
+// feature-major table scoring all sub-models in a single pass per event.
+// Scoring uses the kernels automatically once built; calling Compile up
+// front just moves the one-time cost to load time (the serve path does
+// this on every bundle load so no request pays it). The
 // returned stats describe the build. Compilation never changes scores:
 // every kernel is pinned bit-identical to its reference model.
 func (a *Analyzer) Compile() CompileStats {
@@ -100,6 +105,14 @@ func (a *Analyzer) buildCompiled() *compiledSet {
 	c := &compiledSet{
 		kernels: make([]ml.ScoreKernel, len(a.Models)),
 		src:     append([]ml.Classifier(nil), a.Models...),
+		bufLen:  a.maxCard(),
+	}
+	if nbs, ok := nbModels(a.Models); ok {
+		if c.nb = nbayes.CompileEnsemble(nbs); c.nb != nil {
+			c.bufLen = max(c.bufLen, c.nb.Width())
+			c.stats.Models = a.NumModels()
+			c.stats.TableEntries = c.nb.NumEntries()
+		}
 	}
 	for i, m := range a.Models {
 		kc, ok := m.(ml.KernelCompiler)
@@ -114,12 +127,58 @@ func (a *Analyzer) buildCompiled() *compiledSet {
 			c.stats.TreeNodes += t.NumNodes()
 		case *ripper.Compiled:
 			c.stats.RuleConds += t.NumConds()
-		case *nbayes.Compiled:
-			c.stats.TableEntries += t.NumEntries()
 		}
 	}
 	c.stats.Duration = time.Since(start)
 	return c
+}
+
+// nbModels returns the sub-models as Naive Bayes models (nil entries kept)
+// when every non-nil one is Naive Bayes and there is at least one.
+func nbModels(models []ml.Classifier) ([]*nbayes.Model, bool) {
+	nbs := make([]*nbayes.Model, len(models))
+	found := false
+	for i, m := range models {
+		if m == nil {
+			continue
+		}
+		nb, ok := m.(*nbayes.Model)
+		if !ok {
+			return nil, false
+		}
+		nbs[i], found = nb, true
+	}
+	return nbs, found
+}
+
+// prepare runs the per-event work every sub-model shares — the fused Naive
+// Bayes pass — and returns the ensemble's accumulator for trueScore (nil
+// without an ensemble). buf must have length >= bufLen; the returned
+// accumulator lives in it.
+func (c *compiledSet) prepare(x []int, buf []float64) []float64 {
+	if c.nb == nil {
+		return nil
+	}
+	return c.nb.PredictProbaInto(x, buf)
+}
+
+// trueScore returns sub-model i's probability for the true value v of
+// event x and whether v is its argmax prediction: from the ensemble
+// accumulator nb when prepare filled one, from the model's flat kernel
+// when it has one, or from the reference model m. buf is scratch of
+// length >= bufLen and is left alone when nb is set (nb lives in it).
+func (c *compiledSet) trueScore(i int, m ml.Classifier, x []int, v int, nb, buf []float64) (p float64, match bool) {
+	if nb != nil {
+		return c.nb.TrueScore(nb, i, v)
+	}
+	if k := c.kernels[i]; k != nil {
+		return k.TrueScore(x, v, buf)
+	}
+	pr := ml.ProbaInto(m, x, buf)
+	if v >= 0 && v < len(pr) {
+		p = pr[v]
+	}
+	return p, ml.ArgMax(pr) == v
 }
 
 // kernelScore scores one event through the compiled kernels, replicating
@@ -131,6 +190,7 @@ func (a *Analyzer) kernelScore(c *compiledSet, x []int, s Scorer, buf []float64)
 		levels = a.NormalMatch
 	}
 	haveLevels := len(levels) == len(a.Models)
+	nb := c.prepare(x, buf)
 	var sum, total, availLevel float64
 	anyMissing := false
 	for i, m := range a.Models {
@@ -145,18 +205,7 @@ func (a *Analyzer) kernelScore(c *compiledSet, x []int, s Scorer, buf []float64)
 		if haveLevels {
 			availLevel += levels[i]
 		}
-		v := x[i]
-		var p float64
-		var match bool
-		if k := c.kernels[i]; k != nil {
-			p, match = k.TrueScore(x, v, buf)
-		} else {
-			pr := ml.ProbaInto(m, x, buf)
-			match = ml.ArgMax(pr) == v
-			if v < len(pr) {
-				p = pr[v]
-			}
-		}
+		p, match := c.trueScore(i, m, x, x[i], nb, buf)
 		if s == MatchCount {
 			if match {
 				sum++
@@ -176,9 +225,10 @@ func (a *Analyzer) kernelScore(c *compiledSet, x []int, s Scorer, buf []float64)
 // model-major — each sub-model streams down its column with buffers
 // reused across rows — but visits models in the same ascending order per
 // row as the per-event path, so the results are bit-identical to calling
-// Score on each row. A dataset whose schema width differs from the
-// analyzer's, or whose rows violate its own schema, falls back to the
-// row-major per-event path (which tolerates anything).
+// Score on each row. A Naive Bayes ensemble scores row-major (its fused
+// pass already serves every sub-model of a row at once), as does a
+// dataset whose schema width differs from the analyzer's or whose rows
+// violate its own schema (the per-event path tolerates anything).
 func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 	if ds == nil {
 		return nil
@@ -187,11 +237,11 @@ func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 	if len(out) == 0 {
 		return out
 	}
-	if len(ds.Attrs) != len(a.Attrs) || ds.Validate() != nil {
-		a.scoreEventsInto(ds.X, s, out)
+	c := a.compiled()
+	if c.nb != nil || len(ds.Attrs) != len(a.Attrs) || ds.Validate() != nil {
+		a.scoreEventsInto(c, ds.X, s, out)
 		return out
 	}
-	c := a.compiled()
 	cols := ds.Columns()
 	levels := a.NormalProb
 	if s == MatchCount {
@@ -204,7 +254,7 @@ func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 		avail      = make([]float64, n)
 		totals     = make([]int32, n)
 		anyMissing = make([]bool, n)
-		scratch    = make([]float64, a.maxCard())
+		scratch    = make([]float64, c.bufLen)
 		pbuf       []float64
 		mbuf       []bool
 	)
@@ -218,8 +268,7 @@ func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 		if haveLevels {
 			lvl = levels[i]
 		}
-		k := c.kernels[i]
-		if bk, ok := k.(ml.BatchScoreKernel); ok {
+		if bk, ok := c.kernels[i].(ml.BatchScoreKernel); ok {
 			if pbuf == nil {
 				pbuf = make([]float64, n)
 				mbuf = make([]bool, n)
@@ -250,17 +299,7 @@ func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 			}
 			totals[r]++
 			avail[r] += lvl
-			var p float64
-			var match bool
-			if k != nil {
-				p, match = k.TrueScore(ds.X[r], v, scratch)
-			} else {
-				pr := ml.ProbaInto(m, ds.X[r], scratch)
-				match = ml.ArgMax(pr) == v
-				if v < len(pr) {
-					p = pr[v]
-				}
-			}
+			p, match := c.trueScore(i, m, ds.X[r], v, nil, scratch)
 			if s == MatchCount {
 				if match {
 					sum[r]++
@@ -287,16 +326,16 @@ func (a *Analyzer) ScoreAll(ds *ml.Dataset, s Scorer) []float64 {
 // Score's missing-value handling dictates.
 func (a *Analyzer) ScoreEvents(xs [][]int, s Scorer) []float64 {
 	out := make([]float64, len(xs))
-	a.scoreEventsInto(xs, s, out)
+	if len(xs) > 0 {
+		a.scoreEventsInto(a.compiled(), xs, s, out)
+	}
 	return out
 }
 
-func (a *Analyzer) scoreEventsInto(xs [][]int, s Scorer, out []float64) {
-	if len(xs) == 0 {
-		return
-	}
-	c := a.compiled()
-	buf := make([]float64, a.maxCard())
+// scoreEventsInto scores xs row by row through generation c, sharing one
+// scratch buffer (the ensemble accumulator included) across the rows.
+func (a *Analyzer) scoreEventsInto(c *compiledSet, xs [][]int, s Scorer, out []float64) {
+	buf := make([]float64, c.bufLen)
 	for i, x := range xs {
 		out[i] = a.kernelScore(c, x, s, buf)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"crossfeature/internal/ml"
@@ -61,20 +62,32 @@ func referenceScores(a *Analyzer, xs [][]int, s Scorer) []float64 {
 // pins the compiled scoring paths — per-event Score after Compile,
 // ScoreEvents, and the columnar ScoreAll — bit-identical to the
 // pointer-walking reference over >1000 random records per learner,
-// including guard-bucket, short, and out-of-range rows.
+// including guard-bucket, short, and out-of-range rows. One Naive Bayes
+// bundle has ablated (nil) sub-models, so its fused ensemble runs with
+// empty slots.
 func TestScoreKernelDifferential(t *testing.T) {
-	learners := []ml.Learner{
-		c45.NewLearner(),
-		&c45.Learner{MinLeaf: 2, Prune: true, CF: 0.25, HoldoutFrac: 1.0 / 3.0},
-		ripper.NewLearner(),
-		nbayes.NewLearner(),
+	cases := []struct {
+		learner ml.Learner
+		masked  bool
+	}{
+		{c45.NewLearner(), false},
+		{&c45.Learner{MinLeaf: 2, Prune: true, CF: 0.25, HoldoutFrac: 1.0 / 3.0}, false},
+		{ripper.NewLearner(), false},
+		{nbayes.NewLearner(), false},
+		{nbayes.NewLearner(), true},
 	}
-	for li, learner := range learners {
+	for li, tc := range cases {
+		learner := tc.learner
 		rng := rand.New(rand.NewSource(int64(100 + li)))
 		train := compileTestDataset(rng, 300)
 		a, err := Train(train, learner, TrainOptions{Parallelism: 2})
 		if err != nil {
 			t.Fatalf("%s: train: %v", learner.Name(), err)
+		}
+		if tc.masked {
+			for i := 0; i < len(a.Models); i += 3 {
+				a.Models[i] = nil
+			}
 		}
 
 		// Valid probe rows under the training schema (guard buckets
@@ -124,7 +137,65 @@ func TestScoreKernelDifferential(t *testing.T) {
 					t.Fatalf("%s/%v: ScoreEvents row %d (%v) = %v, reference %v",
 						learner.Name(), s, i, degraded[i], gotEvents[i], wantDegraded[i])
 				}
+				if got := a.Score(degraded[i], s); got != wantDegraded[i] {
+					t.Fatalf("%s/%v: compiled Score degraded row %d (%v) = %v, reference %v",
+						learner.Name(), s, i, degraded[i], got, wantDegraded[i])
+				}
 			}
+		}
+		if _, isNB := learner.(*nbayes.Learner); isNB && a.comp.Load().nb == nil {
+			t.Fatalf("%s (masked=%v): no fused ensemble was compiled", learner.Name(), tc.masked)
+		}
+	}
+}
+
+// referenceNormalLevels is the pointer-walking measurement of every
+// sub-model's in-sample match rate and true-value probability.
+func referenceNormalLevels(a *Analyzer, ds *ml.Dataset) (match, prob []float64) {
+	match = make([]float64, len(a.Models))
+	prob = make([]float64, len(a.Models))
+	n := float64(ds.Len())
+	for i, m := range a.Models {
+		if m == nil {
+			continue
+		}
+		var mc, pc float64
+		for _, x := range ds.X {
+			p := m.PredictProba(x)
+			if ml.ArgMax(p) == x[i] {
+				mc++
+			}
+			if v := x[i]; v >= 0 && v < len(p) {
+				pc += p[v]
+			}
+		}
+		match[i], prob[i] = mc/n, pc/n
+	}
+	return match, prob
+}
+
+// TestNormalLevelsMatchReference pins the compiled-kernel measurement of
+// NormalMatch/NormalProb in Train equal to the pointer-walking reference
+// for every base learner, and checks that Train leaves no compiled
+// generation behind (an analyzer never compiled scores on its reference
+// path).
+func TestNormalLevelsMatchReference(t *testing.T) {
+	learners := []ml.Learner{c45.NewLearner(), ripper.NewLearner(), nbayes.NewLearner()}
+	for li, learner := range learners {
+		train := compileTestDataset(rand.New(rand.NewSource(int64(300+li))), 300)
+		a, err := Train(train, learner, TrainOptions{Parallelism: 2})
+		if err != nil {
+			t.Fatalf("%s: train: %v", learner.Name(), err)
+		}
+		if a.comp.Load() != nil {
+			t.Fatalf("%s: Train stored a compiled generation", learner.Name())
+		}
+		match, prob := referenceNormalLevels(a, train)
+		if !reflect.DeepEqual(a.NormalMatch, match) {
+			t.Errorf("%s: NormalMatch %v, reference %v", learner.Name(), a.NormalMatch, match)
+		}
+		if !reflect.DeepEqual(a.NormalProb, prob) {
+			t.Errorf("%s: NormalProb %v, reference %v", learner.Name(), a.NormalProb, prob)
 		}
 	}
 }
@@ -184,5 +255,40 @@ func TestCompileInvalidation(t *testing.T) {
 	}
 	if want := a.AvgProbability(row); after[len(after)-1] != want {
 		t.Fatalf("appended row scored %v, reference %v", after[len(after)-1], want)
+	}
+
+	// Swapping one Naive Bayes sub-model must rebuild the fused ensemble,
+	// which otherwise still holds the old model's tables.
+	nb, err := Train(ds, nbayes.NewLearner(), TrainOptions{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := ml.NewDataset(ds.Attrs) // same schema, different rows
+	for i := 0; i < 100; i++ {
+		for j, at := range ds.Attrs {
+			row[j] = rng.Intn(at.Card)
+		}
+		if err := other.Add(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nb2, err := Train(other, nbayes.NewLearner(), TrainOptions{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb.Compile()
+	nbGen := nb.comp.Load()
+	if nbGen.nb == nil {
+		t.Fatal("Naive Bayes analyzer compiled no ensemble")
+	}
+	nb.Models[1] = nb2.Models[1]
+	if got, want := nb.Score(probe, MatchCount), nb.AvgMatchCount(probe); got != want {
+		t.Fatalf("NB Score after model swap = %v, reference %v (stale ensemble?)", got, want)
+	}
+	if got := nb.comp.Load(); got == nbGen || got.nb == nil || got.nb == nbGen.nb {
+		t.Fatal("NB model swap did not rebuild the ensemble")
+	}
+	if got, want := nb.ScoreAll(ds, Probability), referenceScores(nb, ds.X, Probability); !reflect.DeepEqual(got, want) {
+		t.Fatal("NB ScoreAll after model swap differs from the reference")
 	}
 }

@@ -156,31 +156,33 @@ func Train(ds *ml.Dataset, learner ml.Learner, opts TrainOptions) (*Analyzer, er
 // fitNormalLevels measures every sub-model's in-sample score level — its
 // mean 0/1 match rate and mean true-value probability over the normal
 // training rows. Scoring uses these to keep partial averages (events with
-// missing features) on the same scale as full ones.
+// missing features) on the same scale as full ones. The predictions come
+// from a throwaway compiled generation, pinned bit-identical to the
+// reference models; it is not stored, so an analyzer that is never
+// compiled keeps scoring through its reference path.
 func (a *Analyzer) fitNormalLevels(ds *ml.Dataset) {
 	l := len(a.Models)
 	a.NormalMatch = make([]float64, l)
 	a.NormalProb = make([]float64, l)
+	c := a.buildCompiled()
+	buf := make([]float64, c.bufLen)
+	for _, x := range ds.X {
+		nb := c.prepare(x, buf)
+		for i, m := range a.Models {
+			if m == nil || x[i] < 0 {
+				continue
+			}
+			p, match := c.trueScore(i, m, x, x[i], nb, buf)
+			if match {
+				a.NormalMatch[i]++
+			}
+			a.NormalProb[i] += p
+		}
+	}
 	n := float64(ds.Len())
-	buf := make([]float64, a.maxCard())
-	for i, m := range a.Models {
-		if m == nil {
-			continue
-		}
-		var match, prob float64
-		for _, x := range ds.X {
-			// One shared prediction serves both levels: the argmax of the
-			// distribution is exactly what ml.Predict computes.
-			p := ml.ProbaInto(m, x, buf)
-			if ml.ArgMax(p) == x[i] {
-				match++
-			}
-			if v := x[i]; v >= 0 && v < len(p) {
-				prob += p[v]
-			}
-		}
-		a.NormalMatch[i] = match / n
-		a.NormalProb[i] = prob / n
+	for i := range a.Models {
+		a.NormalMatch[i] /= n
+		a.NormalProb[i] /= n
 	}
 }
 
@@ -332,7 +334,7 @@ func (a *Analyzer) debias(raw, availLevel, total float64, anyMissing bool, level
 // two are bit-identical.
 func (a *Analyzer) Score(x []int, s Scorer) float64 {
 	if c := a.compiledOrNil(); c != nil {
-		return a.kernelScore(c, x, s, make([]float64, a.maxCard()))
+		return a.kernelScore(c, x, s, make([]float64, c.bufLen))
 	}
 	if s == MatchCount {
 		return a.AvgMatchCount(x)

@@ -267,13 +267,13 @@ type Bundle struct {
 	Threshold   float64
 	Scorer      Scorer
 
-	// Fallback, when present, is a cheap naive-Bayes ensemble trained on
-	// the same discretised dataset as Analyzer, with its own calibrated
+	// Fallback, when present, is a naive-Bayes ensemble trained on the
+	// same discretised dataset as Analyzer, with its own calibrated
 	// threshold. The serving layer's brownout mode scores through it when
-	// the primary ensemble can no longer keep up with offered load: NB
-	// inference compiles to flat count-table lookups, the cheapest kernel
-	// of the three learners. Nil when the primary learner is already NBC
-	// (the fallback would be the primary) and in bundles written before
+	// the primary ensemble can no longer keep up with offered load (its
+	// fused kernel is still dearer per record than compiled C4.5 or
+	// RIPPER on the paper shape). Nil when the primary learner is already
+	// NBC (the fallback would be the primary) and in bundles written before
 	// the field existed — gob leaves absent fields zero, so old snapshots
 	// load unchanged.
 	Fallback          *Analyzer

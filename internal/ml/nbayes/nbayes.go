@@ -136,7 +136,12 @@ func (m *Model) PredictProbaInto(x []int, out []float64) []float64 {
 			out[c] += tab[c][v]
 		}
 	}
-	// Softmax-normalise in log space.
+	softmax(out)
+	return out
+}
+
+// softmax normalises log-space class scores into a distribution in place.
+func softmax(out []float64) {
 	maxLog := math.Inf(-1)
 	for _, v := range out {
 		if v > maxLog {
@@ -151,5 +156,4 @@ func (m *Model) PredictProbaInto(x []int, out []float64) []float64 {
 	for c := range out {
 		out[c] /= sum
 	}
-	return out
 }

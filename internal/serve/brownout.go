@@ -17,8 +17,9 @@ package serve
 //   - Brownout: under *sustained* overload the service degrades verdict
 //     fidelity stepwise instead of shedding harder — level 1 drops
 //     Explain-style extras (per-feature metrics), level 2 scores through
-//     the bundle's cheap compiled NB fallback kernel without touching
-//     per-stream EWMA/hysteresis state, level 3 additionally
+//     the bundle's compiled NB fallback without touching per-stream
+//     EWMA/hysteresis state (on the paper shape that costs more CPU per
+//     record than compiled C4.5; see DESIGN.md), level 3 additionally
 //     sample-and-sheds at the door, admitting one request in admitEvery.
 //     The fraction is itself adaptive: hot ticks widen the stride
 //     multiplicatively, calm ticks narrow it by one, so the door matches

@@ -22,9 +22,9 @@ var fpReload = failpoint.At("serve/reload")
 type loadedModel struct {
 	bundle   *core.Bundle
 	detector *core.Detector
-	// fallback is the bundle's cheap NB detector, compiled at load for
-	// brownout level-2 scoring; nil when the bundle carries none (NBC
-	// primaries are already the cheap kernel).
+	// fallback is the bundle's NB detector, compiled at load for
+	// brownout level-2 scoring; nil when the bundle carries none (an NBC
+	// primary would be its own fallback).
 	fallback *core.Detector
 	version  uint64
 	loadedAt time.Time
@@ -85,8 +85,8 @@ func (h *modelHolder) reload() error {
 	cs := b.Analyzer.Compile()
 	fb := b.FallbackDetector()
 	if fb != nil {
-		// The whole point of the fallback is cheap inference under
-		// overload, so its kernels are compiled at load like the primary's.
+		// The fallback scores under overload, so its kernels are
+		// compiled at load like the primary's.
 		fb.Analyzer.Compile()
 	}
 	h.version++
